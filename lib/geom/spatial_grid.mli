@@ -30,7 +30,10 @@ val length : t -> int
 val fold_within : t -> Point.t -> float -> init:'a -> f:('a -> int -> 'a) -> 'a
 (** [fold_within g p r ~init ~f] folds [f] over the indices of all points at
     Euclidean distance ≤ [r] from [p] (including a point equal to [p] if
-    present). *)
+    present).  Membership is decided by exactly
+    [(dx *. dx) +. (dy *. dy) <= r *. r] with [dx = q.x -. p.x] and
+    [dy = q.y -. p.y] for a stored point [q], so a caller that repeats this
+    expression agrees with the query bit for bit. *)
 
 val iter_within : t -> Point.t -> float -> (int -> unit) -> unit
 

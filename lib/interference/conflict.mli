@@ -15,9 +15,25 @@ type t = {
 
 val build :
   ?pool:Adhoc_util.Pool.t -> Model.t -> points:Adhoc_geom.Point.t array -> Adhoc_graph.Graph.t -> t
-(** Grid-accelerated: near-linear for bounded-length edge sets.  [?pool]
-    parallelizes the per-edge candidate/interference tests; the symmetric
-    set assembly replays sequentially, so [sets] is bit-identical. *)
+(** Grid-accelerated and output-sensitive.  Each edge [e = (u,v)] gets
+    the key [(r_e², e)] with [r_e = (1+Δ)·|uv|] measured on [points] —
+    the lengths the graph stores are never read.  Two edges interfere iff
+    their closest endpoint pair is nearer than the larger of their two
+    radii, so every interfering pair is discovered exactly once, from its
+    larger-key edge, by searching that edge's own radius around [u] and
+    [v].  A candidate reached through several endpoint pairs is kept only
+    at the first of [(u,a), (u,b), (v,a), (v,b)] inside the search ball,
+    so no dedup set or shared mark array is needed.  Cost is
+    O(Σ candidates) — the edges incident to nodes inside each edge's
+    search balls — plus O(m + Σ|I(e)|) to assemble the rows.
+
+    Memory: besides the output ([Σ|I(e)|] ids), one id per interfering
+    pair (each pair's discovery, held until assembly), O(n + m) floats and
+    counters, and one merge buffer of [max_e |I(e)|] ids.
+
+    [?pool] parallelizes the per-edge discovery; the symmetric assembly
+    runs sequentially, so [sets] is bit-identical for every pool size and
+    to {!build_brute}. *)
 
 val build_brute :
   Model.t -> points:Adhoc_geom.Point.t array -> Adhoc_graph.Graph.t -> t
@@ -36,7 +52,8 @@ val neighborhood_bounds : t -> int array
     [e ∈ I(e')], hence [Iₑ' >= |I(e)|] and the union bound telescopes. *)
 
 val interfere : t -> int -> int -> bool
-(** Membership in each other's interference sets (by edge id). *)
+(** Membership in each other's interference sets (by edge id): a binary
+    search over [e]'s ascending row, O(log |I(e)|). *)
 
 val adjacency : t -> int array array
 (** The interference sets as arrays, indexable per edge (the internal

@@ -52,15 +52,118 @@ let overlay_instance seed =
   let alg = Theta_alg.build ~theta:(Float.pi /. 6.) ~range points in
   (points, Theta_alg.overlay alg, Theta_alg.build ~theta:(Float.pi /. 6.) ~range points)
 
+(* Rows are sorted ascending by construction in both builds, so
+   structural equality is set equality. *)
+let matches_brute model ~points g =
+  (Conflict.build model ~points g).Conflict.sets = (Conflict.build_brute model ~points g).Conflict.sets
+
+(* The instance families the grid build is checked on against the brute
+   oracle, all drawn from one seed:
+   - the ΘALG overlay, at a random Δ and at Δ = 0;
+   - a wide length mix: a UDG at 3× the critical range plus a few long
+     chords whose guard zones dwarf every other edge's;
+   - integer lattice points, where whole families of edges share one r²,
+     so the (r², id) key falls back on the edge id;
+   - repeated positions, which give zero-length edges with empty guard
+     zones. *)
+let brute_cases seed =
+  let rng = Prng.create (seed + 3) in
+  let points, overlay, _ = overlay_instance seed in
+  let n = Array.length points in
+  let delta = Prng.range rng 0. 1. in
+  let chords = List.init 3 (fun _ -> (Prng.int rng n, Prng.int rng n)) in
+  let skewed =
+    Graph.union (Udg.build ~range:(3. *. Udg.critical_range points) points) (Graph.geometric points chords)
+  in
+  let k = 3 + Prng.int rng 6 in
+  let lattice = Array.init (k * k) (fun i -> pt (float_of_int (i mod k)) (float_of_int (i / k))) in
+  let lattice_range = [| 1.; 1.5; 2.; 2.3 |].(Prng.int rng 4) in
+  let lattice_delta = [| 0.; 0.5; 1.; delta |].(Prng.int rng 4) in
+  let copies = Array.init (1 + Prng.int rng 6) (fun _ -> points.(Prng.int rng n)) in
+  let doubled = Array.append points copies in
+  [
+    (delta, points, overlay);
+    (0., points, overlay);
+    (delta, points, skewed);
+    (lattice_delta, lattice, Udg.build ~range:lattice_range lattice);
+    (delta, doubled, Udg.build ~range:(2. *. Udg.critical_range points) doubled);
+  ]
+
 let test_build_matches_brute =
   qtest "grid-accelerated = brute force" ~count:60 seed_gen (fun seed ->
-      let rng = Prng.create (seed + 3) in
-      let points, g, _ = overlay_instance seed in
-      let m = Model.make ~delta:(Prng.range rng 0. 1.) in
-      let fast = Conflict.build m ~points g in
-      let brute = Conflict.build_brute m ~points g in
-      (* Rows are sorted ascending by construction in both builds. *)
-      fast.Conflict.sets = brute.Conflict.sets)
+      List.for_all
+        (fun (delta, points, g) -> matches_brute (Model.make ~delta) ~points g)
+        (brute_cases seed))
+
+let test_brute_n400 () =
+  let rng = Prng.create 400 in
+  let points = Adhoc_pointset.Generators.uniform rng 400 in
+  let range = 1.5 *. Udg.critical_range points in
+  let g = Theta_alg.overlay (Theta_alg.build ~theta:(Float.pi /. 6.) ~range points) in
+  Alcotest.(check bool) "n = 400 overlay" true (matches_brute (Model.make ~delta:0.5) ~points g)
+
+(* Edges a billion times shorter than the spread of the points: the grid
+   cell is not sized by the guard zones alone. *)
+let test_brute_tiny_edges () =
+  let points = [| pt 0. 0.; pt 1e-9 0.; pt 1. 1.; pt 1. (1. +. 1e-9) |] in
+  let g = Graph.geometric points [ (0, 1); (2, 3) ] in
+  Alcotest.(check bool) "tiny edges" true (matches_brute (Model.make ~delta:0.5) ~points g)
+
+(* The interference predicate measures the points, never the lengths a
+   graph stores: the overlay re-weighted to length 0.01 still matches the
+   oracle. *)
+let test_stored_lengths_ignored =
+  qtest "grid-accelerated = brute force, non-Euclidean lengths" ~count:60 seed_gen (fun seed ->
+      let points, overlay, _ = overlay_instance seed in
+      let edges =
+        List.init (Graph.num_edges overlay) (fun e ->
+            let u, v = Graph.endpoints overlay e in
+            (u, v, 0.01))
+      in
+      matches_brute (Model.make ~delta:0.5) ~points (Graph.of_edges ~n:(Array.length points) edges))
+
+(* Binary search over the ascending row = the linear scan, for every
+   ordered pair, the diagonal included.  The far-off extra edge has an
+   empty row. *)
+let test_interfere_oracle =
+  qtest "interfere = linear scan of the row" ~count:40 seed_gen (fun seed ->
+      let points, overlay, _ = overlay_instance seed in
+      let n = Array.length points in
+      let points = Array.append points [| pt 10. 10.; pt 10.01 10. |] in
+      let edges =
+        List.init (Graph.num_edges overlay) (fun e ->
+            let u, v = Graph.endpoints overlay e in
+            (u, v, Graph.length overlay e))
+      in
+      let g = Graph.of_edges ~n:(n + 2) (edges @ [ (n, n + 1, 0.01) ]) in
+      let c = Conflict.build (Model.make ~delta:0.5) ~points g in
+      let m = Graph.num_edges g in
+      Array.length c.Conflict.sets.(m - 1) = 0
+      && List.for_all
+           (fun e ->
+             List.for_all
+               (fun e' -> Conflict.interfere c e e' = Array.exists (fun x -> x = e') c.Conflict.sets.(e))
+               (List.init m Fun.id))
+           (List.init m Fun.id))
+
+(* Route defaults at n = 2048, seed 1: about 7.7k overlay edges and 563k
+   interfering pairs.  The build allocates output rows and per-edge
+   partner lists, never a per-candidate structure. *)
+let test_build_allocation () =
+  let rng = Prng.create 1 in
+  let points = Adhoc_pointset.Generators.uniform rng 2048 in
+  let range = 1.5 *. Udg.critical_range points in
+  let g = Theta_alg.overlay (Theta_alg.build ~theta:(Float.pi /. 6.) ~range points) in
+  let model = Model.make ~delta:0.5 in
+  let before = Adhoc_obs.Gcstat.read () in
+  let c = Conflict.build model ~points g in
+  let after = Adhoc_obs.Gcstat.read () in
+  let words = (Adhoc_obs.Gcstat.delta ~before ~after).Adhoc_obs.Gcstat.minor_words in
+  let pairs = Array.fold_left (fun acc row -> acc + Array.length row) 0 c.Conflict.sets / 2 in
+  Alcotest.(check bool) "hundreds of thousands of pairs" true (pairs > 100_000);
+  if words > 40. *. float_of_int pairs then
+    Alcotest.failf "%.0f minor words for %d pairs: %.1f words per pair, over 40" words pairs
+      (words /. float_of_int pairs)
 
 let test_interference_number_zero () =
   let points = [| pt 0. 0.; pt 1. 0. |] in
@@ -257,6 +360,11 @@ let () =
       ( "conflict",
         [
           test_build_matches_brute;
+          case "grid-accelerated = brute force, n = 400" test_brute_n400;
+          case "grid-accelerated = brute force, tiny edges" test_brute_tiny_edges;
+          test_stored_lengths_ignored;
+          test_interfere_oracle;
+          case "build allocates at most 40 words per pair" test_build_allocation;
           case "single edge" test_interference_number_zero;
           test_coloring_proper;
           test_independent_and_greedy;
