@@ -667,7 +667,17 @@ let is_send = function Event.Send _ -> true | _ -> false
 let is_collide = function Event.Collide _ -> true | _ -> false
 let is_deliver = function Event.Deliver _ -> true | _ -> false
 
-let checked_run name golden run =
+(* MD5 of a log's adhoc-events/1 bytes: pins every event, in order, down
+   to the last bit of each cost. *)
+let events_digest log =
+  let tmp = Filename.temp_file "adhoc-golden" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove tmp)
+    (fun () ->
+      Event.save_jsonl log tmp;
+      Digest.to_hex (Digest.file tmp))
+
+let checked_run name golden digest run =
   let b, _, _, _ = Lazy.force fixture in
   let log = Event.create () in
   let obs = Obs.create ~events:log () in
@@ -683,6 +693,7 @@ let checked_run name golden run =
     ~total_cost:stats.Engine.total_cost ~remaining:stats.Engine.remaining;
   if not (Invariants.ok checker) then
     Alcotest.failf "%s: %s" name (Invariants.report checker);
+  Alcotest.(check string) (name ^ " event-log digest") digest (events_digest log);
   let events = Event.to_array log in
   Alcotest.(check int)
     (name ^ " one Deliver per delivery")
@@ -696,9 +707,123 @@ let checked_run name golden run =
     stats.Engine.failed_sends (count is_collide events);
   events
 
-let test_events_golden_pad () = ignore (checked_run "pad" golden_pad run_pad)
-let test_events_golden_plain () = ignore (checked_run "plain" golden_plain run_plain)
-let test_events_golden_csma () = ignore (checked_run "csma" golden_csma run_csma)
+let digest_pad = "e414b9d3360d0f6b71c262ac97b1f9ae"
+let digest_plain = "378964546061c36cd73f811219a6e86f"
+let digest_csma = "57bba15464b868fc7d7ca71ba4a18b2d"
+
+let test_events_golden_pad () = ignore (checked_run "pad" golden_pad digest_pad run_pad)
+
+let test_events_golden_plain () =
+  ignore (checked_run "plain" golden_plain digest_plain run_plain)
+
+let test_events_golden_csma () =
+  ignore (checked_run "csma" golden_csma digest_csma run_csma)
+
+(* Goldens for the entry points the three above do not reach: the
+   time-varying cost path, the epoch engine and the quantized engine.
+   Each pins the stats and the event-log bytes. *)
+
+let run_cost_at ?obs () =
+  let b, params, w, _ = Lazy.force fixture in
+  let g = b.Pipeline.overlay in
+  (* Every 50 steps a different third of the edges becomes a hundred
+     times dearer, enough to outweigh a height difference. *)
+  let cost_at ~step ~edge =
+    let c = Cost.length (Graph.length g edge) in
+    if ((step / 50) + edge) mod 3 = 0 then 100. *. c else c
+  in
+  Engine.run_mac_given ~cooldown:200 ?obs ~cost_at ~graph:g ~cost:Cost.length ~params w
+
+let golden_cost_at =
+  {
+    Engine.steps = 800;
+    injected = 399;
+    dropped = 0;
+    delivered = 346;
+    sends = 1036;
+    failed_sends = 0;
+    total_cost = 4033.1367629292768;
+    peak_height = 17;
+    remaining = 53;
+  }
+
+let digest_cost_at = "fd4962e850f2e2d8e03f064d8f96c11f"
+
+let test_events_golden_cost_at () =
+  ignore (checked_run "cost_at" golden_cost_at digest_cost_at run_cost_at)
+
+(* Two epochs over different deployments of the same 80 nodes: the
+   fixture's overlay, then a fresh one. *)
+let run_dynamic ?obs () =
+  let b, params, w, _ = Lazy.force fixture in
+  let second =
+    Dynamic_engine.epoch_of_points ~steps:300
+      (Adhoc_pointset.Generators.uniform (Prng.create 43) 80)
+  in
+  let epochs =
+    [ { Dynamic_engine.graph = b.Pipeline.overlay; conflict = b.Pipeline.conflict; steps = 300 };
+      second ]
+  in
+  let injections t = if t < w.Workload.horizon then w.Workload.injections.(t) else [] in
+  Dynamic_engine.run ?obs ~epochs ~injections ~cost:Cost.length ~params ()
+
+let golden_dynamic =
+  {
+    Engine.steps = 600;
+    injected = 394;
+    dropped = 5;
+    delivered = 15;
+    sends = 173;
+    failed_sends = 0;
+    total_cost = 22.274458200729207;
+    peak_height = 100;
+    remaining = 379;
+  }
+
+let digest_dynamic = "d5304ae8013a01fc0f300d4c97473e94"
+
+let test_events_golden_dynamic () =
+  (* The second epoch's edges differ from the first's, so the endpoint
+     check of [checked_run] does not apply; pin stats and bytes here. *)
+  let log = Event.create () in
+  let stats = run_dynamic ~obs:(Obs.create ~events:log ()) () in
+  check_stats "dynamic+events" golden_dynamic stats;
+  check_stats "dynamic without a sink" golden_dynamic (run_dynamic ());
+  Alcotest.(check int) "one Epoch_change per epoch" 2
+    (count (function Event.Epoch_change _ -> true | _ -> false) (Event.to_array log));
+  Alcotest.(check string) "dynamic event-log digest" digest_dynamic (events_digest log)
+
+let run_quantized ?obs () =
+  let b, params, _, wq = Lazy.force fixture in
+  Quantized_engine.run_mac_given ~cooldown:200 ?obs ~pad:b.Pipeline.conflict ~quantum:2
+    ~graph:b.Pipeline.overlay ~cost:Cost.length ~params wq
+
+let golden_quantized =
+  {
+    Engine.steps = 800;
+    injected = 252;
+    dropped = 0;
+    delivered = 171;
+    sends = 914;
+    failed_sends = 0;
+    total_cost = 134.02562446331541;
+    peak_height = 8;
+    remaining = 81;
+  }
+
+let golden_quantized_control = 41
+let digest_quantized = "08d42a3822542e92c7ef7f40435684bb"
+
+let test_events_golden_quantized () =
+  let log = Event.create () in
+  let s = run_quantized ~obs:(Obs.create ~events:log ()) () in
+  check_stats "quantized+events" golden_quantized s.Quantized_engine.base;
+  check_stats "quantized without a sink" golden_quantized (run_quantized ()).Quantized_engine.base;
+  Alcotest.(check int) "control messages" golden_quantized_control
+    s.Quantized_engine.control_messages;
+  Alcotest.(check int) "one Height_advert per control message" golden_quantized_control
+    (count (function Event.Height_advert _ -> true | _ -> false) (Event.to_array log));
+  Alcotest.(check string) "quantized event-log digest" digest_quantized (events_digest log)
 
 let test_events_collisions_checked () =
   (* Mac.all with a collision structure forces interfering grants to
@@ -1258,6 +1383,9 @@ let () =
           case "pad golden with events + checker" test_events_golden_pad;
           case "plain golden with events + checker" test_events_golden_plain;
           case "csma golden with events + checker" test_events_golden_csma;
+          case "cost_at golden with events + checker" test_events_golden_cost_at;
+          case "dynamic golden with events" test_events_golden_dynamic;
+          case "quantized golden with events" test_events_golden_quantized;
           case "collisions are checked" test_events_collisions_checked;
         ] );
       ( "journey",

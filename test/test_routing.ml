@@ -1162,13 +1162,29 @@ let test_quantized_zero_matches_engine =
           ~rng ~graph:g ~cost:Cost.length ~num_flows:2
       in
       let params = Balancing.params ~threshold:1. ~gamma:0.1 ~capacity:50 in
-      let plain = Engine.run_mac_given ~cooldown:200 ~pad:c ~graph:g ~cost:Cost.length ~params w in
-      let q0 =
-        Quantized_engine.run_mac_given ~cooldown:200 ~pad:c ~quantum:0 ~graph:g
-          ~cost:Cost.length ~params w
+      let plain_log = Adhoc_obs.Event.create () in
+      let plain =
+        Engine.run_mac_given ~cooldown:200
+          ~obs:(Adhoc_obs.create ~events:plain_log ())
+          ~pad:c ~graph:g ~cost:Cost.length ~params w
       in
-      q0.Quantized_engine.base.Engine.delivered = plain.Engine.delivered
-      && q0.Quantized_engine.base.Engine.sends = plain.Engine.sends)
+      let q0_log = Adhoc_obs.Event.create () in
+      let q0 =
+        (Quantized_engine.run_mac_given ~cooldown:200
+           ~obs:(Adhoc_obs.create ~events:q0_log ())
+           ~pad:c ~quantum:0 ~graph:g ~cost:Cost.length ~params w)
+          .Quantized_engine.base
+      in
+      (* Every stats field, the float cost bit for bit; and the same event
+         stream once the quantized engine's own adverts are set aside. *)
+      let without_cost (s : Engine.stats) = { s with Engine.total_cost = 0. } in
+      let not_advert = function Adhoc_obs.Event.Height_advert _ -> false | _ -> true in
+      without_cost q0 = without_cost plain
+      && Int64.equal
+           (Int64.bits_of_float q0.Engine.total_cost)
+           (Int64.bits_of_float plain.Engine.total_cost)
+      && List.filter not_advert (Array.to_list (Adhoc_obs.Event.to_array q0_log))
+         = Array.to_list (Adhoc_obs.Event.to_array plain_log))
 
 let test_quantized_control_monotone =
   qtest "control traffic falls as the quantum grows" ~count:10 seed_gen (fun seed ->
