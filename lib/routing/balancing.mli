@@ -29,6 +29,18 @@ val best_toward : Buffers.t -> params -> cost:float -> src:int -> dst:int -> dec
     destination's gain exceeds the threshold.  O(#non-empty buffers at
     [src]).  Ties broken by the lower destination index. *)
 
+val best_toward_seen :
+  Buffers.t ->
+  params ->
+  seen:Buffers.Sparse.t ->
+  cost:float ->
+  src:int ->
+  dst:int ->
+  decision option
+(** {!best_toward} with the receiver's heights read from [seen] instead of
+    [buffers]: a sender that knows its own buffers but only what [dst]
+    last advertised ({!Quantized_engine}). *)
+
 val best_either : Buffers.t -> params -> cost:float -> u:int -> v:int -> decision option
 (** The better of the two directions (ties prefer [u → v]). *)
 

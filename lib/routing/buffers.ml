@@ -1,9 +1,9 @@
 (* Flat struct-of-arrays buffer state.  Per-node sorted nonzero
    destination rows (growable parallel int arrays, CSR-style) replace
    the former dense n×n matrix + per-node hashtables: memory is
-   O(n + live buffers) and [iter_nonzero]/[fold_nonzero] visit
-   destinations in ascending order, so traversal is deterministic by
-   construction and needs no hashtbl-order waiver. *)
+   O(n + live buffers) and [iter_nonzero] visits destinations in
+   ascending order, so traversal is deterministic by construction and
+   needs no hashtbl-order waiver. *)
 
 module Sparse = struct
   type t = {
@@ -85,14 +85,6 @@ module Sparse = struct
     for i = 0 to t.len.(v) - 1 do
       f keys.(i) vals.(i)
     done
-
-  let fold_row t v ~init ~f =
-    let keys = t.key.(v) and vals = t.value.(v) in
-    let acc = ref init in
-    for i = 0 to t.len.(v) - 1 do
-      acc := f !acc keys.(i) vals.(i)
-    done;
-    !acc
 end
 
 type t = {
@@ -120,6 +112,7 @@ let create n =
 let nodes t = t.n
 
 let height t v d = Sparse.get t.q v d
+let heights t = t.q
 
 let set_watcher t f = t.watcher <- Some f
 
@@ -178,8 +171,6 @@ let remove t v d =
   notify t v d
 
 let iter_nonzero t v f = Sparse.iter_row t.q v f
-
-let fold_nonzero t v ~init ~f = Sparse.fold_row t.q v ~init ~f
 
 let total t = t.total
 

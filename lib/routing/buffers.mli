@@ -6,8 +6,7 @@
 
     State is flat struct-of-arrays: each node holds a sorted growable
     row of nonzero destinations, so memory is O(n + live buffers) and
-    {!iter_nonzero}/{!fold_nonzero} are deterministic ascending-order
-    traversals. *)
+    {!iter_nonzero} is a deterministic ascending-order traversal. *)
 
 (** Generic sparse integer rows: per-row sorted (key, value) pairs in
     growable parallel int arrays, values never 0.  Reused by the
@@ -43,7 +42,6 @@ module Sparse : sig
   (** [iter_row t v f] calls [f k x] for each live entry in ascending
       key order.  [f] must not mutate row [v]. *)
 
-  val fold_row : t -> int -> init:'a -> f:('a -> int -> int -> 'a) -> 'a
 end
 
 type t
@@ -57,6 +55,10 @@ val nodes : t -> int
 val height : t -> int -> int -> int
 (** [height t v d] is [h_{v,d}].  O(log live) binary search in [v]'s
     nonzero row. *)
+
+val heights : t -> Sparse.t
+(** The live height rows: [Sparse.get (heights t) v d = height t v d].
+    Read-only; it changes as the buffers do. *)
 
 val inject : t -> cap:int -> int -> int -> bool
 (** [inject t ~cap src dest] adds a packet to [Q_{src,dest}] unless the
@@ -74,9 +76,6 @@ val iter_nonzero : t -> int -> (int -> int -> unit) -> unit
 (** [iter_nonzero t v f] calls [f d h] for every destination with
     [h = h_{v,d} > 0], in ascending destination order.  [f] must not
     mutate [v]'s buffers. *)
-
-val fold_nonzero : t -> int -> init:'a -> f:('a -> int -> int -> 'a) -> 'a
-(** Ascending destination order, like {!iter_nonzero}. *)
 
 val total : t -> int
 (** Total packets currently buffered. *)

@@ -20,137 +20,29 @@ let run ?obs ?pool ~epochs ~injections ~cost ~params () =
   let n =
     match epochs with
     | [] -> invalid_arg "Dynamic_engine.run: no epochs"
-    | e :: rest ->
-        List.iter
-          (fun e' ->
-            if Graph.n e'.graph <> Graph.n e.graph then
-              invalid_arg "Dynamic_engine.run: epochs disagree on node count")
-          rest;
-        Graph.n e.graph
+    | e :: _ -> Graph.n e.graph
   in
-  let buffers = Buffers.create n in
-  let robs = Engine.Run_obs.create obs ~n in
+  if List.exists (fun e -> Graph.n e.graph <> n) epochs then
+    invalid_arg "Dynamic_engine.run: epochs disagree on node count";
+  (* Interference-free TDMA: each epoch activates one colour class of its
+     conflict structure per step.  Built (and checked) for every epoch
+     before the first step runs. *)
+  let sources =
+    List.map
+      (fun e -> (e, Step_kernel.classes ~entry:"Dynamic_engine.run" e.graph e.conflict))
+      epochs
+  in
+  let k = Step_kernel.create ?obs ?pool ~params ~n () in
   let events = Adhoc_obs.events obs in
-  let injected = ref 0
-  and dropped = ref 0
-  and delivered = ref 0
-  and sends = ref 0
-  and total_cost = ref 0.
-  and peak = ref 0 in
-  let steps_total = ref 0 in
   List.iteri
-    (fun epoch_idx epoch ->
-      let g = epoch.graph in
+    (fun i (epoch, source) ->
       (match events with
       | None -> ()
-      | Some log -> Event.epoch_change log ~step:!steps_total ~epoch:epoch_idx);
-      let m = Graph.num_edges g in
-      let edge_cost = Array.init m (fun e -> cost (Graph.length g e)) in
-      let colors, k = Conflict.greedy_coloring epoch.conflict in
-      (* Colour classes precomputed once per epoch, as flat arrays in the
-         descending edge-id order the per-step fold used to produce. *)
-      let class_size = Array.make (max k 1) 0 in
-      Array.iter (fun c -> class_size.(c) <- class_size.(c) + 1) colors;
-      let by_class = Array.init (max k 1) (fun c -> Array.make class_size.(c) 0) in
-      let fill = Array.make (max k 1) 0 in
-      for e = m - 1 downto 0 do
-        let c = colors.(e) in
-        by_class.(c).(fill.(c)) <- e;
-        fill.(c) <- fill.(c) + 1
-      done;
-      (* The cache is rebuilt per epoch (the topology changed); buffers
-         persist, and create starts all-invalid, so no stale decisions
-         survive an epoch boundary. *)
-      let cache = Engine.Cache.create ~graph:g ~buffers ~params ~edge_cost in
-      for local = 0 to epoch.steps - 1 do
-        let t = !steps_total in
-        incr steps_total;
-        ignore local;
-        (* Interference-free TDMA: activate one colour class per step. *)
-        let active = if k = 0 then [||] else by_class.(t mod k) in
-        let count = Array.length active in
-        Engine.Run_obs.enter robs "engine/decide";
-        Engine.Cache.flush cache;
-        (* Decide in parallel on the pool (no-op without one), assemble
-           sequentially in class order — bit-identical for every jobs. *)
-        Engine.Cache.prepare ?pool cache active ~count;
-        let decisions = ref [] in
-        for i = count - 1 downto 0 do
-          let e = active.(i) in
-          (match Engine.Cache.bwd cache e with
-          | Some b -> decisions := (e, b) :: !decisions
-          | None -> ());
-          match Engine.Cache.fwd cache e with
-          | Some a -> decisions := (e, a) :: !decisions
-          | None -> ()
-        done;
-        let decisions =
-          List.stable_sort (fun (_, a) (_, b) -> Engine.application_order a b) !decisions
-        in
-        Engine.Run_obs.leave robs;
-        Engine.Run_obs.enter robs "engine/apply";
-        List.iter
-          (fun (e, (d : Balancing.decision)) ->
-            if Buffers.height buffers d.Balancing.src d.Balancing.dest > 0 then begin
-              incr sends;
-              total_cost := !total_cost +. edge_cost.(e);
-              let outcome = Balancing.apply buffers d in
-              (match outcome with
-              | `Delivered -> incr delivered
-              | `Moved ->
-                  peak :=
-                    max !peak (Buffers.height buffers d.Balancing.dst d.Balancing.dest));
-              match events with
-              | None -> ()
-              | Some log -> (
-                  Event.send log ~step:t ~edge:e ~src:d.Balancing.src ~dst:d.Balancing.dst
-                    ~dest:d.Balancing.dest ~cost:edge_cost.(e)
-                    ~outcome:
-                      (match outcome with
-                      | `Delivered -> Event.Delivered
-                      | `Moved -> Event.Moved);
-                  match outcome with
-                  | `Delivered -> Event.deliver log ~step:t ~dst:d.Balancing.dest ~self:false
-                  | `Moved -> ())
-            end)
-          decisions;
-        List.iter
-          (fun (src, dst) ->
-            if Buffers.inject buffers ~cap:params.Balancing.capacity src dst then begin
-              incr injected;
-              (match events with
-              | None -> ()
-              | Some log ->
-                  Event.inject log ~step:t ~src ~dst ~admitted:true;
-                  if src = dst then Event.deliver log ~step:t ~dst ~self:true);
-              if src = dst then incr delivered
-              else peak := max !peak (Buffers.height buffers src dst)
-            end
-            else begin
-              incr dropped;
-              match events with
-              | None -> ()
-              | Some log -> Event.inject log ~step:t ~src ~dst ~admitted:false
-            end)
-          (injections t);
-        Engine.Run_obs.leave robs;
-        Engine.Run_obs.sample robs ~buffers ~step:t ~injected:!injected
-          ~delivered:!delivered ~dropped:!dropped ~sends:!sends ~failed_sends:0
-          ~active_edges:count
-      done)
-    epochs;
-  let stats =
-    {
-      Engine.steps = !steps_total;
-      injected = !injected;
-      dropped = !dropped;
-      delivered = !delivered;
-      sends = !sends;
-      failed_sends = 0;
-      total_cost = !total_cost;
-      peak_height = !peak;
-      remaining = Buffers.total buffers;
-    }
-  in
-  Engine.Run_obs.finish robs stats;
-  stats
+      | Some log -> Event.epoch_change log ~step:(Step_kernel.now k) ~epoch:i);
+      (* The decision cache is rebuilt per epoch (the topology changed);
+         buffers persist, and a new cache starts all-invalid, so no stale
+         decisions survive an epoch boundary. *)
+      Step_kernel.run k ~steps:epoch.steps ~injections source
+        (Step_kernel.cached k epoch.graph cost))
+    sources;
+  Step_kernel.finish k

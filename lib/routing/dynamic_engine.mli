@@ -42,14 +42,7 @@ val run :
     model, where progress resumes whenever the adversary re-enables a
     path.
 
-    [obs] behaves as in {!Engine.run_mac_given}: [engine/decide] /
-    [engine/apply] spans, [engine.*] counters, the max-height histogram
-    and stride-gated trace samples; an attached event log additionally
-    gets one [Epoch_change] per epoch (at the global step it starts),
-    and the usual inject / send / deliver events.  [None] leaves the run
-    bit-identical.
-
-    [pool] fans each step's colour-class decision computations out on the
-    domain pool (decide-parallel / apply-sequential, as in
-    {!Engine.run_mac_given}); results are bit-identical for every pool
-    size. *)
+    [obs] and [pool] behave as in {!Engine.run_mac_given}, whose step
+    kernel this engine runs with colour-class TDMA as its active-set
+    source.  An attached event log also gets one [Epoch_change] per
+    epoch, at the global step it starts. *)

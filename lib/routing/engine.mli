@@ -8,9 +8,22 @@
     - {!run_with_mac} — Scenarios 2 and 3 (Theorems 3.3 / 3.8): the router
       sees the whole topology, a {!Adhoc_mac.Mac.t} grants transmission
       attempts, and granted attempts that still interfere all fail (both
-      packets stay, the transmission energy is spent). *)
+      packets stay, the transmission energy is spent).
 
-type stats = {
+    Every engine in this library runs one step kernel: decide each active
+    edge on start-of-step heights, order the decisions (deliveries first,
+    then descending gain), apply the sends, admit the injections.  The
+    engines are configurations of it.  There are three active-set sources:
+    the workload's activations, optionally padded (here and in
+    {!Quantized_engine}); colour-class TDMA ({!Dynamic_engine}); and a MAC
+    grant with its collision check ({!run_with_mac}).  There are two
+    decision makers: per-edge decisions cached on true heights and static
+    costs, and uncached per-edge decisions, for per-step costs
+    ([cost_at]) or for the advertised heights of {!Quantized_engine}.
+    A conflict structure passed to any engine must cover exactly its
+    graph's edges; otherwise [Invalid_argument], before the first step. *)
+
+type stats = Step_kernel.stats = {
   steps : int;
   injected : int;  (** admitted into source buffers *)
   dropped : int;  (** rejected by admission control (full source buffer) *)
@@ -22,50 +35,6 @@ type stats = {
   remaining : int;  (** packets still buffered at the end *)
 }
 
-val application_order : Balancing.decision -> Balancing.decision -> int
-(** Order in which simultaneous decisions are applied when they contend for
-    a buffer: deliveries first, then descending gain.  Exposed for engine
-    variants (see {!Tracked_engine}). *)
-
-val record_stats : Adhoc_obs.sink option -> stats -> unit
-(** End-of-run flush of a stats record into the sink's metrics registry:
-    totals as [engine.*] counters (accumulating across runs sharing a
-    sink), extrema and leftovers as gauges.  No-op on [None].  Exposed for
-    engine variants. *)
-
-(** The per-run observability bundle the engine variants share
-    ({!Dynamic_engine}, {!Quantized_engine}): [engine/*] span scopes, the
-    per-step max-height histogram, stride-gated trace samples whose
-    counters are deltas since the previous sample, and the end-of-run
-    metrics flush.  All calls are no-ops when the sink is [None]. *)
-module Run_obs : sig
-  type t
-
-  val create : Adhoc_obs.sink option -> n:int -> t
-  (** Registers the [engine.step_max_height] histogram when a sink is
-      present.  [n] is the node count (for the trace's mean height). *)
-
-  val enter : t -> string -> unit
-  val leave : t -> unit
-
-  val sample :
-    t ->
-    buffers:Buffers.t ->
-    step:int ->
-    injected:int ->
-    delivered:int ->
-    dropped:int ->
-    sends:int ->
-    failed_sends:int ->
-    active_edges:int ->
-    unit
-  (** Call once at the end of every step with the cumulative counters;
-      records the height histogram observation and, when the sink carries
-      a trace wanting [step], one sample. *)
-
-  val finish : t -> stats -> unit
-end
-
 val throughput_ratio : stats -> Workload.opt_stats -> float
 (** [delivered / opt.deliveries].  [0.] when OPT delivered nothing: a run
     with no certified deliveries to compete against earns nothing, rather
@@ -76,63 +45,6 @@ val cost_ratio : stats -> Workload.opt_stats -> float
     delivered nothing (or OPT's average cost is not positive): the ratio is
     undefined, and reporting [1.] would make a run that delivers nothing
     look perfect.  Bench tables render it as [n/a]. *)
-
-(** Per-edge cached balancing decisions, invalidated incrementally.
-
-    A decision over an edge depends only on the buffer heights at its two
-    endpoints and the (static) edge cost, and the argmax is independent of
-    buffer-iteration order, so cached decisions are exact.  A watcher on
-    the buffers collects changed nodes; {!Cache.flush} invalidates only the
-    edges incident to them.  Engine variants share this structure. *)
-module Cache : sig
-  type t
-
-  val create :
-    graph:Adhoc_graph.Graph.t ->
-    buffers:Buffers.t ->
-    params:Balancing.params ->
-    edge_cost:float array ->
-    t
-  (** Registers a watcher on [buffers] (replacing any previous one). *)
-
-  val flush : t -> unit
-  (** Invalidates edges incident to nodes whose heights changed since the
-      last flush.  Call at the start of each step, before reading. *)
-
-  val prepare : ?pool:Adhoc_util.Pool.t -> t -> int array -> count:int -> unit
-  (** Refreshes every invalidated edge among the first [count] entries of
-      the active-edge array on the domain pool, so subsequent lookups only
-      read cache hits.  Each task reads start-of-step heights and writes
-      only its own edge's cells (par-safe), and the refreshed decisions
-      are bit-identical to the lazy sequential path for any pool size.
-      No-op when [pool] is [None]. *)
-
-  val fwd : t -> int -> Balancing.decision option
-  (** Best send [u -> v] over the edge, on the heights as of the last
-      flush. *)
-
-  val bwd : t -> int -> Balancing.decision option
-
-  val either : t -> int -> Balancing.decision option
-  (** The better direction, ties preferring [u -> v] — the cached
-      equivalent of {!Balancing.best_either}. *)
-end
-
-(** Precomputed colour-class padding for Scenario-1 engines: colour classes
-    and conflict adjacency are built once per run, and per-step base
-    membership uses scratch marks instead of scanning lists. *)
-module Pad : sig
-  type t
-
-  val create : Adhoc_interference.Conflict.t -> t
-
-  val active : t -> step:int -> into:int array -> int list -> int
-  (** [active p ~step ~into base] writes [base] plus the step's colour
-      class (round robin) into the scratch array [into] — minus base
-      duplicates and class edges interfering with a base edge, extras
-      following the base in ascending edge-id order — and returns the live
-      count.  [into] must hold at least [m] entries. *)
-end
 
 val run_mac_given :
   ?cooldown:int ->

@@ -38,12 +38,9 @@ val run_mac_given :
   stats
 (** Requires [quantum >= 0].
 
-    [obs] behaves as in {!Engine.run_mac_given} — spans (with an extra
-    [engine/advertise] scope around the advertisement phase), [engine.*]
-    counters, histogram and trace — plus a [quantized.control_messages]
+    The step is {!Engine.run_mac_given}'s, with one change: a sender
+    decides against its neighbour's advertised heights.  [pad], [obs] and
+    [pool] behave as there.  In addition, [obs] gets an [engine/advertise]
+    span around each advertisement phase, a [quantized.control_messages]
     counter, and one [Height_advert] event per announcing node when the
-    sink carries an event log.  [None] leaves the run bit-identical.
-
-    [pool] fans each step's decision computations (against the advertised
-    heights) out on the domain pool; applications replay sequentially, so
-    results are bit-identical for every pool size. *)
+    sink carries an event log. *)

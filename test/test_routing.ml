@@ -133,7 +133,7 @@ let test_buffers_matrix_oracle =
               reference.(v).(d) <- reference.(v).(d) - 1
             end
       done;
-      (* Every height agrees, and both traversals visit exactly the
+      (* Every height agrees, and the traversal visits exactly the
          nonzero destinations in ascending order. *)
       for v = 0 to n - 1 do
         for d = 0 to n - 1 do
@@ -147,11 +147,7 @@ let test_buffers_matrix_oracle =
         in
         let seen = ref [] in
         Buffers.iter_nonzero b v (fun d h -> seen := (d, h) :: !seen);
-        if List.rev !seen <> expected then ok := false;
-        let folded =
-          Buffers.fold_nonzero b v ~init:[] ~f:(fun acc d h -> (d, h) :: acc)
-        in
-        if List.rev folded <> expected then ok := false
+        if List.rev !seen <> expected then ok := false
       done;
       !ok)
 
@@ -200,11 +196,7 @@ let test_sparse_matrix_oracle =
             if k <= !last || x = 0 || x <> reference.(v).(k) then ok := false;
             last := k;
             incr count);
-        if !count <> nonzero then ok := false;
-        if
-          Buffers.Sparse.fold_row s v ~init:0 ~f:(fun a _ x -> a + x)
-          <> Array.fold_left ( + ) 0 reference.(v)
-        then ok := false
+        if !count <> nonzero then ok := false
       done;
       !ok)
 
@@ -1150,6 +1142,64 @@ let test_dynamic_costs_default_matches_static () =
 
 
 (* ------------------------------------------------------------------ *)
+(* Conflict structures must cover the graph they are used with          *)
+
+let test_conflict_must_match_graph () =
+  let points, g, _ = overlay_instance 5 in
+  let m = Graph.num_edges g in
+  let model = Model.make ~delta:0.5 in
+  let u, v = Graph.endpoints g 0 in
+  let smaller =
+    Conflict.build model ~points
+      (Graph.of_edges ~n:(Graph.n g) [ (u, v, Graph.length g 0) ])
+  in
+  let larger =
+    Conflict.build model ~points (Udg.build ~range:(4. *. Udg.critical_range points) points)
+  in
+  Alcotest.(check bool) "the larger structure is larger" true
+    (Array.length larger.Conflict.sets > m);
+  let rng = Prng.create 5 in
+  let w = Workload.flows workload_config ~rng ~graph:g ~cost:Cost.length ~num_flows:2 in
+  let params = Balancing.params ~threshold:1. ~gamma:0.1 ~capacity:50 in
+  let entries =
+    [
+      ( "Engine.run_mac_given",
+        fun c -> ignore (Engine.run_mac_given ~pad:c ~graph:g ~cost:Cost.length ~params w) );
+      ( "Engine.run_with_mac",
+        fun c ->
+          ignore
+            (Engine.run_with_mac ~collisions:c ~graph:g ~cost:Cost.length ~params ~mac:Mac.all w)
+      );
+      ( "Dynamic_engine.run",
+        fun c ->
+          ignore
+            (Dynamic_engine.run
+               ~epochs:[ { Dynamic_engine.graph = g; conflict = c; steps = 20 } ]
+               ~injections:(fun _ -> [])
+               ~cost:Cost.length ~params ()) );
+      ( "Quantized_engine.run_mac_given",
+        fun c ->
+          ignore
+            (Quantized_engine.run_mac_given ~pad:c ~quantum:1 ~graph:g ~cost:Cost.length
+               ~params w) );
+    ]
+  in
+  List.iter
+    (fun (entry, run) ->
+      List.iter
+        (fun (size, c) ->
+          let msg =
+            Printf.sprintf "%s: the conflict structure covers %d edges but the graph has %d"
+              entry (Array.length c.Conflict.sets) m
+          in
+          Alcotest.check_raises
+            (Printf.sprintf "%s, %s conflict" entry size)
+            (Invalid_argument msg)
+            (fun () -> run c))
+        [ ("smaller", smaller); ("larger", larger) ])
+    entries
+
+(* ------------------------------------------------------------------ *)
 (* Quantized control exchange                                          *)
 
 let test_quantized_zero_matches_engine =
@@ -1559,6 +1609,8 @@ let () =
           test_flows_max_hops_honored;
           case "bad configs rejected" test_workload_bad_configs;
         ] );
+      ( "conflict checks",
+        [ case "conflict must cover the graph" test_conflict_must_match_graph ] );
       ( "quantized",
         [
           test_quantized_zero_matches_engine;
