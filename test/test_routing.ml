@@ -1609,7 +1609,7 @@ let () =
           test_flows_max_hops_honored;
           case "bad configs rejected" test_workload_bad_configs;
         ] );
-      ( "conflict checks",
+      ( "conflicts",
         [ case "conflict must cover the graph" test_conflict_must_match_graph ] );
       ( "quantized",
         [
