@@ -39,6 +39,18 @@ let routing_fixture =
      in
      (b, w, wq))
 
+let certify ~conflict graph =
+  let config =
+    {
+      Routing.Workload.horizon = 2000;
+      attempts = 4000;
+      slack = 12;
+      interference_free = conflict <> None;
+    }
+  in
+  Routing.Workload.flows ?conflict config ~rng:(Prng.create 5) ~graph
+    ~cost:(Graphs.Cost.energy ~kappa:2.) ~num_flows:2
+
 let routing_params = Routing.Balancing.params ~threshold:1. ~gamma:0.1 ~capacity:100
 
 let tests () =
@@ -61,6 +73,14 @@ let tests () =
              Interference.Conflict.build (Interference.Model.make ~delta:0.5) ~points overlay));
       Test.make ~name:"dijkstra-sssp"
         (Staged.stage (fun () -> Graphs.Dijkstra.run overlay ~cost:Graphs.Cost.length ~src:0));
+      (* Workload certification at route's settings (2 flows, attempts =
+         2 × horizon, slack 12): without interference checks, as for the
+         random MAC, and interference-free, as for the padded MAC-given
+         scenario. *)
+      Test.make ~name:"workload-certify-random-mac"
+        (Staged.stage (fun () -> certify ~conflict:None overlay));
+      Test.make ~name:"workload-certify-pad"
+        (Staged.stage (fun () -> certify ~conflict:(Some b.Pipeline.conflict) overlay));
       Test.make ~name:"energy-stretch"
         (Staged.stage (fun () ->
              Graphs.Stretch.over_base_edges ~sub:overlay ~base:gstar

@@ -17,28 +17,51 @@ module Table = Util.Table
 (* ------------------------------------------------------------------ *)
 (* Shared options                                                      *)
 
+(* Range-checked numeric converters: a value outside a flag's range is a
+   usage error (exit 124) that names the accepted range, never an
+   exception from inside the library. *)
+let checked conv ok range =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "%s is out of range, expected %s" s range))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let int_from lo = checked Arg.int (fun v -> v >= lo) (Printf.sprintf "an integer >= %d" lo)
+
+let float_where ok range = checked Arg.float (fun v -> Float.is_finite v && ok v) range
+
 let seed_t =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed (deterministic runs).")
 
-let nodes_t =
-  Arg.(value & opt int 200 & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of nodes.")
+(* [route] and [geo] pick distinct node pairs, so they need two nodes. *)
+let nodes_t ~min =
+  Arg.(
+    value
+    & opt (int_from min) 200
+    & info [ "n"; "nodes" ] ~docv:"N" ~doc:(Printf.sprintf "Number of nodes (at least %d)." min))
 
 let theta_t =
   Arg.(
     value
-    & opt float (Float.pi /. 6.)
+    & opt
+        (float_where (fun t -> t > 0. && t <= 2. *. Float.pi) "an angle in (0, 2π]")
+        (Float.pi /. 6.)
     & info [ "theta" ] ~docv:"RAD" ~doc:"Sector angle of ΘALG (radians, ≤ π/3 for the paper's guarantees).")
 
 let range_factor_t =
   Arg.(
     value
-    & opt float 1.5
+    & opt (float_where (fun f -> f >= 0.) "a finite number >= 0") 1.5
     & info [ "range-factor" ] ~docv:"F"
         ~doc:"Transmission range as a multiple of the connectivity threshold.")
 
 let delta_t =
   Arg.(
-    value & opt float 0.5
+    value
+    & opt (float_where (fun d -> d >= 0.) "a finite number >= 0") 0.5
     & info [ "delta" ] ~docv:"D" ~doc:"Interference guard-zone parameter Δ.")
 
 let dist_t =
@@ -53,7 +76,7 @@ let dist_t =
 let jobs_t =
   Arg.(
     value
-    & opt int (Util.Pool.default_jobs ())
+    & opt (int_from 1) (Util.Pool.default_jobs ())
     & info [ "jobs" ] ~docv:"N"
         ~doc:
           "Domain-pool size for the parallelized kernels, including the \
@@ -142,14 +165,17 @@ let topology_cmd =
   in
   Cmd.v
     (Cmd.info "topology" ~doc:"Build topologies on a random deployment and print their metrics.")
-    Term.(const run $ jobs_t $ seed_t $ nodes_t $ theta_t $ range_factor_t $ delta_t $ dist_t)
+    Term.(const run $ jobs_t $ seed_t $ (nodes_t ~min:1) $ theta_t $ range_factor_t $ delta_t $ dist_t)
 
 (* ------------------------------------------------------------------ *)
 (* stretch                                                             *)
 
 let stretch_cmd =
   let kappa_t =
-    Arg.(value & opt float 2. & info [ "kappa" ] ~docv:"K" ~doc:"Path-loss exponent κ ≥ 2.")
+    Arg.(
+      value
+      & opt (float_where (fun k -> k >= 0.) "a finite number >= 0") 2.
+      & info [ "kappa" ] ~docv:"K" ~doc:"Path-loss exponent κ (the paper's bounds need κ ≥ 2).")
   in
   let run jobs seed n theta range_factor delta dist kappa =
     with_jobs jobs @@ fun pool ->
@@ -167,7 +193,7 @@ let stretch_cmd =
   Cmd.v
     (Cmd.info "stretch" ~doc:"Energy/distance stretch of the ΘALG overlay vs. the transmission graph.")
     Term.(
-      const run $ jobs_t $ seed_t $ nodes_t $ theta_t $ range_factor_t $ delta_t $ dist_t $ kappa_t)
+      const run $ jobs_t $ seed_t $ (nodes_t ~min:1) $ theta_t $ range_factor_t $ delta_t $ dist_t $ kappa_t)
 
 (* ------------------------------------------------------------------ *)
 (* interference                                                        *)
@@ -189,7 +215,7 @@ let interference_cmd =
   in
   Cmd.v
     (Cmd.info "interference" ~doc:"Interference structure of the ΘALG overlay.")
-    Term.(const run $ jobs_t $ seed_t $ nodes_t $ theta_t $ range_factor_t $ delta_t $ dist_t)
+    Term.(const run $ jobs_t $ seed_t $ (nodes_t ~min:1) $ theta_t $ range_factor_t $ delta_t $ dist_t)
 
 (* ------------------------------------------------------------------ *)
 (* route                                                               *)
@@ -203,13 +229,16 @@ let route_cmd =
           ~doc:"mac-given (Thm 3.1), random-mac (Thm 3.3) or honeycomb (Thm 3.8).")
   in
   let horizon_t =
-    Arg.(value & opt int 4000 & info [ "horizon" ] ~docv:"T" ~doc:"Injection horizon (steps).")
+    Arg.(value & opt (int_from 1) 4000 & info [ "horizon" ] ~docv:"T" ~doc:"Injection horizon (steps).")
   in
   let flows_t =
-    Arg.(value & opt int 2 & info [ "flows" ] ~docv:"F" ~doc:"Number of sustained flows.")
+    Arg.(value & opt (int_from 1) 2 & info [ "flows" ] ~docv:"F" ~doc:"Number of sustained flows.")
   in
   let epsilon_t =
-    Arg.(value & opt float 0.5 & info [ "epsilon" ] ~docv:"E" ~doc:"Throughput slack ε ∈ (0,1).")
+    Arg.(
+      value
+      & opt (float_where (fun e -> e > 0. && e < 1.) "a number in (0, 1)") 0.5
+      & info [ "epsilon" ] ~docv:"E" ~doc:"Throughput slack ε ∈ (0,1).")
   in
   let trace_t =
     Arg.(
@@ -222,7 +251,8 @@ let route_cmd =
   in
   let trace_stride_t =
     Arg.(
-      value & opt int 1
+      value
+      & opt (int_from 1) 1
       & info [ "trace-stride" ] ~docv:"S"
           ~doc:"Record every $(docv)-th step of the trace (default 1: every step).")
   in
@@ -322,7 +352,8 @@ let route_cmd =
   in
   let live_window_t =
     Arg.(
-      value & opt int 250
+      value
+      & opt (int_from 1) 250
       & info [ "live-window" ] ~docv:"STEPS"
           ~doc:"Tumbling-window size in simulation steps for --live (default 250).")
   in
@@ -442,7 +473,7 @@ let route_cmd =
   Cmd.v
     (Cmd.info "route" ~doc:"Run a balancing-routing scenario against a certified adversary.")
     Term.(
-      const run $ jobs_t $ seed_t $ nodes_t $ theta_t $ range_factor_t $ delta_t $ dist_t
+      const run $ jobs_t $ seed_t $ (nodes_t ~min:2) $ theta_t $ range_factor_t $ delta_t $ dist_t
       $ scenario_t $ horizon_t $ flows_t $ epsilon_t $ trace_t $ trace_stride_t $ metrics_t
       $ events_t $ check_invariants_t $ chrome_trace_t $ live_t $ live_window_t $ live_prom_t)
 
@@ -458,7 +489,8 @@ let analyze_cmd =
   in
   let top_t =
     Arg.(
-      value & opt int 15
+      value
+      & opt (int_from 0) 15
       & info [ "top" ] ~docv:"K" ~doc:"Rows in the busiest-edges table (default 15).")
   in
   let svg_t =
@@ -486,7 +518,8 @@ let analyze_cmd =
   in
   let live_window_t =
     Arg.(
-      value & opt int 250
+      value
+      & opt (int_from 1) 250
       & info [ "live-window" ] ~docv:"STEPS"
           ~doc:"Tumbling-window size in simulation steps for --replay-live (default 250).")
   in
@@ -629,7 +662,7 @@ let analyze_cmd =
 
 let geo_cmd =
   let trials_t =
-    Arg.(value & opt int 500 & info [ "trials" ] ~docv:"K" ~doc:"Random connected pairs to route.")
+    Arg.(value & opt (int_from 1) 500 & info [ "trials" ] ~docv:"K" ~doc:"Random connected pairs to route.")
   in
   let run jobs seed n theta range_factor delta dist trials =
     with_jobs jobs @@ fun pool ->
@@ -673,7 +706,7 @@ let geo_cmd =
   Cmd.v
     (Cmd.info "geo" ~doc:"Geographic (greedy / greedy+face) routing success rates.")
     Term.(
-      const run $ jobs_t $ seed_t $ nodes_t $ theta_t $ range_factor_t $ delta_t $ dist_t
+      const run $ jobs_t $ seed_t $ (nodes_t ~min:2) $ theta_t $ range_factor_t $ delta_t $ dist_t
       $ trials_t)
 
 (* ------------------------------------------------------------------ *)
@@ -704,7 +737,7 @@ let export_cmd =
   Cmd.v
     (Cmd.info "export" ~doc:"Write the ΘALG overlay as a reloadable network file, SVG or DOT.")
     Term.(
-      const run $ jobs_t $ seed_t $ nodes_t $ theta_t $ range_factor_t $ delta_t $ dist_t $ out_t
+      const run $ jobs_t $ seed_t $ (nodes_t ~min:1) $ theta_t $ range_factor_t $ delta_t $ dist_t $ out_t
       $ what_t)
 
 let () =

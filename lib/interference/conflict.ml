@@ -165,17 +165,19 @@ let neighborhood_bounds t =
 
 let interference_number t = Array.fold_left (fun acc a -> max acc (Array.length a)) 0 t.sets
 
+(* Binary search for [x] in [row.(lo .. hi-1)], ascending.  Top-level, not
+   a local closure, so that a lookup allocates nothing: workload
+   certification runs one per reserved edge per tested slot. *)
+let rec row_mem (row : int array) (x : int) lo hi =
+  lo < hi
+  &&
+  let mid = (lo + hi) lsr 1 in
+  let y = row.(mid) in
+  y = x || if y < x then row_mem row x (mid + 1) hi else row_mem row x lo mid
+
 let interfere t e e' =
   let row = t.sets.(e) in
-  (* Binary search over the ascending row. *)
-  let rec search lo hi =
-    lo < hi
-    &&
-    let mid = (lo + hi) lsr 1 in
-    let x = row.(mid) in
-    x = e' || if x < e' then search (mid + 1) hi else search lo mid
-  in
-  search 0 (Array.length row)
+  row_mem row e' 0 (Array.length row)
 
 let adjacency t = t.sets
 

@@ -9,7 +9,38 @@
     exactly those injections (and, for the MAC-given scenario, exactly the
     activations the schedules use).  By construction a best possible
     algorithm delivers every injected packet at the recorded cost, so
-    competitive ratios measured against {!opt_stats} are conservative. *)
+    competitive ratios measured against {!opt_stats} are conservative.
+
+    {b Certification cost.}  Every certified generator below runs the same
+    certifier.  It does one Dijkstra run per distinct source and builds
+    each (source, destination) route once; every [paths] entry of a pair
+    shares that pair's immutable edge list.  An attempt of [h] hops and
+    slack [k] tests at most [h + k] slots.  Each test is one bit of the
+    edge's occupancy bitset, plus, when [interference_free] holds, one
+    [Conflict.interfere] lookup per edge already reserved at that step.
+    The attempt writes its slots into a reused scratch array and
+    allocates only if it is certified.  After the attempts come three
+    passes: one over the bitsets for [activations], one over the
+    activations for [delta], and two counting passes plus one sweep over
+    the buffer stays for [max_buffer].  None of them is a comparison
+    sort or a hash table.
+
+    {b Memory.}  Besides the result, certification holds:
+    - one occupancy bitset of [⌈horizon/8⌉] bytes per edge that carries
+      a reservation, at most [m·horizon] bits in all;
+    - per distinct source, one Dijkstra result and one route slot per
+      node;
+    - four ints per buffer stay (one stay per certified hop) and, while
+      [max_buffer] runs, four more;
+    - when [interference_free] holds, one list cell per reservation.
+
+    {b Buffer bound.}  [opt.max_buffer] replays every certified schedule
+    as buffer stays.  A packet is in the buffer of its node, for its
+    destination, from the step it arrives (or is injected) until the step
+    its next hop is scheduled.  When one packet leaves a (node,
+    destination) buffer at step [t] and another arrives there at [t], the
+    departure is applied first, so the two count as one packet, not two.
+    The result is at least 1. *)
 
 type opt_stats = {
   deliveries : int;  (** packets with certified schedules = OPT throughput *)

@@ -517,6 +517,150 @@ let test_workload_single_destination () =
     (fun l -> List.iter (fun (_, dst) -> Alcotest.(check int) "sink" 0 dst) l)
     w.Workload.injections
 
+(* The flat certifier against the tuple-Hashtbl reference in
+   [Workload_oracle]: every field of [t], floats bit for bit. *)
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_workload (a : Workload.t) (b : Workload.t) =
+  let oa = a.Workload.opt and ob = b.Workload.opt in
+  a.Workload.horizon = b.Workload.horizon
+  && a.Workload.injections = b.Workload.injections
+  && a.Workload.paths = b.Workload.paths
+  && a.Workload.activations = b.Workload.activations
+  && oa.Workload.deliveries = ob.Workload.deliveries
+  && same_bits oa.Workload.total_cost ob.Workload.total_cost
+  && same_bits oa.Workload.avg_cost ob.Workload.avg_cost
+  && same_bits oa.Workload.avg_hops ob.Workload.avg_hops
+  && oa.Workload.max_buffer = ob.Workload.max_buffer
+  && oa.Workload.delta = ob.Workload.delta
+
+(* A connected ΘALG overlay, or a unit-disk graph below the critical range
+   (usually disconnected, so some pairs have no route). *)
+let certify_instance seed =
+  let rng = Prng.create (seed + 17) in
+  let points = points_of_seed ~min_n:2 ~max_n:30 seed in
+  let model = Model.make ~delta:(Prng.float rng 1.) in
+  let g =
+    if Prng.bool rng then
+      Theta_alg.overlay
+        (Theta_alg.build ~theta:(Float.pi /. 6.) ~range:(2. *. Udg.critical_range points) points)
+    else Udg.build ~range:(0.7 *. Udg.critical_range points) points
+  in
+  (g, Conflict.build model ~points g, rng)
+
+let test_workload_oracle =
+  qtest "certifier = tuple-Hashtbl reference" ~count:300 seed_gen (fun seed ->
+      let g, c, rng = certify_instance seed in
+      let n = Graph.n g in
+      (* Horizons down to 1 make windows >= horizon common. *)
+      let horizon = 1 + Prng.int rng (if Prng.bool rng then 12 else 400) in
+      let config =
+        {
+          Workload.horizon;
+          attempts = Prng.int rng 300;
+          slack = Prng.int rng 25;
+          interference_free = Prng.bool rng;
+        }
+      in
+      let cost = if Prng.bool rng then Cost.length else Cost.energy ~kappa:2. in
+      let kind = Prng.int rng 6 in
+      let num_flows = 1 + Prng.int rng 4 in
+      let max_hops = 1 + Prng.int rng 4 in
+      let sink = Prng.int rng n in
+      let sources = Array.init (1 + Prng.int rng 3) (fun _ -> Prng.int rng n) in
+      let period = 1 + Prng.int rng 50 in
+      let burst_width = 1 + Prng.int rng period in
+      let draw_seed = Prng.int rng 1_000_000 in
+      let both gen oracle =
+        same_workload (gen ~rng:(Prng.create draw_seed)) (oracle ~rng:(Prng.create draw_seed))
+      in
+      let conflict = c and graph = g in
+      match kind with
+      | 0 ->
+          both
+            (Workload.generate ~conflict config ~graph ~cost)
+            (Workload_oracle.generate ~conflict config ~graph ~cost)
+      | 1 ->
+          both
+            (Workload.flows ~conflict config ~graph ~cost ~num_flows)
+            (Workload_oracle.flows ~conflict config ~graph ~cost ~num_flows)
+      | 2 ->
+          both
+            (Workload.flows ~conflict ~max_hops config ~graph ~cost ~num_flows)
+            (Workload_oracle.flows ~conflict ~max_hops config ~graph ~cost ~num_flows)
+      | 3 ->
+          both
+            (Workload.single_destination ~conflict config ~graph ~cost ~sink)
+            (Workload_oracle.single_destination ~conflict config ~graph ~cost ~sink)
+      | 4 ->
+          both
+            (Workload.single_destination ~conflict ~sources config ~graph ~cost ~sink)
+            (Workload_oracle.single_destination ~conflict ~sources config ~graph ~cost ~sink)
+      | _ ->
+          both
+            (Workload.bursty ~conflict config ~graph ~cost ~num_flows ~period ~burst_width)
+            (Workload_oracle.bursty ~conflict config ~graph ~cost ~num_flows ~period ~burst_width))
+
+(* B on a hand-built line 0 - 1 - 2, every packet from 0 to the sink 2.
+   With slack 0 each packet crosses edge 0 at t0 + 1 and edge 1 at t0 + 2,
+   and horizon 4 leaves t0 in {0, 1}. *)
+let line_workload ~slack ~seed =
+  let g = Graph.of_edges ~n:3 [ (0, 1, 1.); (1, 2, 1.) ] in
+  Workload.single_destination ~sources:[| 0 |]
+    { Workload.horizon = 4; attempts = 2; slack; interference_free = false }
+    ~rng:(Prng.create seed) ~graph:g ~cost:Cost.length ~sink:2
+
+let test_workload_buffer_tie () =
+  (* Packets injected at 0 and 1: the first leaves node 1 at step 2, the
+     step the second arrives there.  Departures apply first, so B = 1. *)
+  let seed =
+    List.find
+      (fun seed ->
+        let w = line_workload ~slack:0 ~seed in
+        w.Workload.injections.(0) <> [] && w.Workload.injections.(1) <> [])
+      (List.init 50 (fun i -> i + 1))
+  in
+  let w = line_workload ~slack:0 ~seed in
+  Alcotest.(check (array (list int)))
+    "edge 0 at 1 and 2, edge 1 at 2 and 3"
+    [| []; [ 0 ]; [ 0; 1 ]; [ 1 ] |]
+    w.Workload.activations;
+  Alcotest.(check int) "two certified" 2 w.Workload.opt.Workload.deliveries;
+  Alcotest.(check int) "leave and arrive at one step" 1 w.Workload.opt.Workload.max_buffer
+
+let test_workload_buffer_overlap () =
+  (* Slack 1 and horizon 4 force t0 = 0: the second packet waits at node 0
+     until step 2 while the first is still there during step 0. *)
+  let w = line_workload ~slack:1 ~seed:1 in
+  Alcotest.(check (array (list int)))
+    "edge 0 at 1 and 2, edge 1 at 2 and 3"
+    [| []; [ 0 ]; [ 0; 1 ]; [ 1 ] |]
+    w.Workload.activations;
+  Alcotest.(check int) "both injected at 0" 2 (List.length w.Workload.injections.(0));
+  Alcotest.(check int) "overlapping stays" 2 w.Workload.opt.Workload.max_buffer
+
+(* Certification of the random-MAC route instance (n = 150, horizon 8000,
+   2 flows, seed 1: what [adhoc_sim route -n 150 --scenario random-mac
+   --horizon 8000] certifies), in minor words per attempt: 136 measured,
+   against 1,987 for the reference certifier's tuple tables, per-attempt
+   path lists and sorted event lists. *)
+let test_workload_allocation () =
+  let rng = Prng.create 1 in
+  let points = Adhoc_pointset.Generators.uniform rng 150 in
+  let range = 1.5 *. Udg.critical_range points in
+  let g = Theta_alg.overlay (Theta_alg.build ~theta:(Float.pi /. 6.) ~range points) in
+  let horizon = 8000 in
+  let config = { Workload.horizon; attempts = 2 * horizon; slack = 12; interference_free = false } in
+  let before = Adhoc_obs.Gcstat.read () in
+  let w = Workload.flows config ~rng ~graph:g ~cost:(Cost.energy ~kappa:2.) ~num_flows:2 in
+  let after = Adhoc_obs.Gcstat.read () in
+  let words = (Adhoc_obs.Gcstat.delta ~before ~after).Adhoc_obs.Gcstat.minor_words in
+  let per_attempt = words /. float_of_int config.Workload.attempts in
+  Alcotest.(check bool) "thousands certified" true (w.Workload.opt.Workload.deliveries > 1000);
+  if per_attempt > 200. then
+    Alcotest.failf "%.0f minor words for %d attempts: %.1f per attempt, over 200" words
+      config.Workload.attempts per_attempt
+
 (* ------------------------------------------------------------------ *)
 (* Engine                                                              *)
 
@@ -1574,6 +1718,10 @@ let () =
           test_workload_stats_sane;
           case "flows concentrate" test_workload_flows_concentrate;
           case "single destination" test_workload_single_destination;
+          test_workload_oracle;
+          case "B: departure before arrival" test_workload_buffer_tie;
+          case "B: overlapping stays" test_workload_buffer_overlap;
+          case "certification allocation" test_workload_allocation;
         ] );
       ( "engine",
         [
